@@ -11,24 +11,18 @@ redundant counterweight:
 - :mod:`repro.check.fuzz` generates seeded randomized instances, runs all
   solver methods, validates each result, sandwiches heuristics between
   OPT and the analytic upper bound, and pins the fast insertion engine
-  against its reference implementation; :func:`fuzz_dispatch_seed` does
-  the same for whole multi-frame dispatcher runs, validating every frame
-  (carried-over commitments included) and the cross-frame invariants;
-  :func:`fuzz_chaos_seed` layers seeded mid-horizon disruptions on top,
-  asserting rider-ledger conservation and fleet-state integrity
-  (:func:`validate_fleet_state`) after every event;
-  :func:`fuzz_prune_seed` differential-checks the spatio-temporal
-  candidate index (:mod:`repro.core.candidates`) against the full
-  all-pairs scan, frame-for-frame;
-- :mod:`repro.check.stream` differential-fuzzes the streaming
-  micro-batch engine (:mod:`repro.service`): with the interval trigger
-  pinned to the frame length it must reproduce batch dispatcher runs
-  frame-for-frame, and count-trigger replays must hold every frame and
-  ledger invariant;
-- :mod:`repro.check.crash` kills durable dispatcher runs at seeded
-  WAL/snapshot/worker boundaries, restores them from the checkpoint
-  directory (:mod:`repro.core.durability`), and asserts frame-for-frame
-  equivalence with an uninterrupted run plus ledger conservation;
+  against its reference implementation;
+- :mod:`repro.check.harness` is the one differential harness for the
+  rolling-horizon dispatcher.  A :class:`Scenario` is drawn once per
+  seed (network, fleet, method, weights, frames of riders, optional
+  disruption schedule and kill point); a :class:`Variant` is a set of
+  dispatcher layers (sharded, tiered, candidate pruning, watchdog) plus
+  a batch, stream, count-trigger or crash-and-restore driver; one
+  comparator validates every live frame, audits the cross-frame and
+  ledger invariants, and compares every candidate with the reference
+  frame for frame.  The named pairs in :data:`PAIRS` (dispatch, chaos,
+  tiered, prune, shards, crash, stream) are the dispatcher modes of the
+  command line;
 - :mod:`repro.check.corruptions` plants known bug classes to prove the
   validator still catches them;
 - ``python -m repro.check`` drives it all from the command line (see
@@ -40,41 +34,28 @@ validates every dispatched frame.
 """
 
 from repro.check.corruptions import CORRUPTIONS, CorruptedCase
-from repro.check.crash import (
-    CrashFuzzConfig,
-    CrashSeedReport,
-    fuzz_crash_seed,
-    run_crash_fuzz,
-)
-from repro.check.stream import (
-    StreamFuzzConfig,
-    StreamSeedReport,
-    fuzz_stream_seed,
-    run_stream_fuzz,
-)
 from repro.check.fuzz import (
-    ChaosFuzzConfig,
-    ChaosSeedReport,
-    DispatchFuzzConfig,
-    DispatchSeedReport,
     FuzzConfig,
     FuzzFailure,
     FuzzRunReport,
     MinimizedRepro,
-    PruneFuzzConfig,
-    PruneSeedReport,
     SeedReport,
     differential_check,
-    fuzz_chaos_seed,
-    fuzz_dispatch_seed,
-    fuzz_prune_seed,
     fuzz_seed,
     minimize_seed,
     random_instance,
-    run_chaos_fuzz,
-    run_dispatch_fuzz,
     run_fuzz,
-    run_prune_fuzz,
+)
+from repro.check.harness import (
+    PAIRS,
+    Pair,
+    PairSeedReport,
+    Scenario,
+    ScenarioConfig,
+    Variant,
+    draw_scenario,
+    fuzz_pair_seed,
+    run_pair,
 )
 from repro.check.validator import (
     ValidationError,
@@ -88,41 +69,30 @@ from repro.check.validator import (
 
 __all__ = [
     "CORRUPTIONS",
-    "ChaosFuzzConfig",
-    "ChaosSeedReport",
     "CorruptedCase",
-    "CrashFuzzConfig",
-    "CrashSeedReport",
-    "DispatchFuzzConfig",
-    "DispatchSeedReport",
     "FuzzConfig",
     "FuzzFailure",
     "FuzzRunReport",
     "MinimizedRepro",
-    "PruneFuzzConfig",
-    "PruneSeedReport",
+    "PAIRS",
+    "Pair",
+    "PairSeedReport",
+    "Scenario",
+    "ScenarioConfig",
     "SeedReport",
-    "StreamFuzzConfig",
-    "StreamSeedReport",
     "ValidationError",
     "ValidationReport",
+    "Variant",
     "Violation",
     "ViolationKind",
     "differential_check",
-    "fuzz_chaos_seed",
-    "fuzz_crash_seed",
-    "fuzz_dispatch_seed",
-    "fuzz_prune_seed",
+    "draw_scenario",
+    "fuzz_pair_seed",
     "fuzz_seed",
-    "fuzz_stream_seed",
     "minimize_seed",
     "random_instance",
-    "run_chaos_fuzz",
-    "run_crash_fuzz",
-    "run_dispatch_fuzz",
     "run_fuzz",
-    "run_prune_fuzz",
-    "run_stream_fuzz",
+    "run_pair",
     "validate_assignment",
     "validate_fleet_state",
     "validate_schedule",

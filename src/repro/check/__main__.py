@@ -7,53 +7,20 @@ Modes
   dominance sandwich and the insertion-engine differential; the three
   corruption classes are self-tested on every run so a silently-dead
   validator cannot report a clean bill of health.
-- ``--dispatch``: fuzz seeded **multi-frame dispatcher scenarios**
-  instead of single instances — every frame's assignment is
-  independently validated (carried-over commitments and mid-route
-  vehicles included) and the cross-frame invariants are asserted at
-  every boundary.
-- ``--chaos``: fuzz dispatcher scenarios with seeded **mid-horizon
-  disruptions** (breakdowns, cancellations, no-shows, travel-time
-  perturbations, road closures) injected between frames, asserting
-  rider-ledger conservation, no-vanishing-commitments, and full fleet
-  re-validation after every event.
-- ``--tiered`` (with ``--dispatch`` or ``--chaos``): run the
-  **tiered-oracle differential** — the same seeded scenario driven
-  through a tier-1 (CH + ALT) :class:`DistanceOracle` must match the
-  untiered run frame-for-frame and bit-for-bit on every sampled cost,
-  including across disruption-driven invalidation epochs.
-- ``--prune``: differential-fuzz **candidate retrieval** — each seed's
-  dispatcher scenario runs once with the full all-pairs scan and once
-  through the spatio-temporal candidate index
-  (:mod:`repro.core.candidates`, audit armed), asserting identical
-  assignments frame-for-frame and zero unsound prunes.
-- ``--dispatch-shards``: differential-fuzz **sharded dispatch** — each
-  seed's scenario runs unsharded, sharded with a serial executor and
-  sharded over worker processes (:mod:`repro.core.shards`), asserting
-  worker-count invariance always, exact equality with the unsharded run
-  on conflict-free frames, per-frame never-worse-than-carried-in on the
-  rest, and no aggregate service loss across the seed set.
-- ``--crash``: **crash-injection fuzzing** — each seed runs a
-  dispatcher scenario twice: uninterrupted, and with durability enabled
-  plus a seeded kill (at a named WAL/snapshot crash point, between
-  frames, or a worker SIGKILL mid-shard-solve); the killed run is
-  restored from its checkpoint directory, resumed, and must match the
-  uninterrupted run frame-for-frame with a conserved rider ledger and
-  identical final fleet state.
-- ``--stream``: **streaming differential fuzzing** — each seed's
-  dispatcher scenario runs once through the batch ``dispatch_frame``
-  loop and once as a timed arrival stream through the micro-batching
-  :class:`repro.service.StreamingEngine` with the interval trigger
-  pinned to the frame length; the two live dispatchers must match
-  stop-for-stop at every frame boundary (sharded/tiered/chaos seeds
-  included), and a count-trigger replay of the same stream must hold
-  every per-frame and ledger invariant.
+- one dispatcher mode flag (``--dispatch``, ``--chaos``, ``--prune``,
+  ``--dispatch-shards``, ``--crash``, ``--stream``; ``--tiered`` turns
+  ``--dispatch``/``--chaos`` into their tiered-oracle differentials):
+  run that named pair of :data:`repro.check.harness.PAIRS` — a
+  reference variant, candidate variants and a strictness rule — over
+  seeded multi-frame scenarios, validating every live frame and
+  comparing every candidate with the reference frame for frame.
+  ``--shard-workers N`` sets the worker count of the pooled sharded
+  variants (and routes ``--chaos`` through sharded dispatch).  Flags a
+  mode would ignore are rejected with exit status 2.
 - ``--replay SEED``: re-run one seed verbosely (what CI prints for a
-  failing artifact); combine with ``--dispatch``, ``--chaos``,
-  ``--prune``, ``--dispatch-shards``, ``--crash`` or ``--stream`` to
-  replay the corresponding scenario kind.
-- ``--replay SEED --minimize``: shrink the failing seed to a minimal
-  rider/vehicle subset and print the repro as JSON.
+  failing artifact); combine with a mode flag to replay that pair.
+- ``--replay SEED --minimize``: shrink a failing single-instance seed to
+  a minimal rider/vehicle subset and print the repro as JSON.
 
 Exit status is 0 only when every check passed.  Failing seeds are written
 as a JSON artifact (``--out``) for CI to upload.
@@ -65,38 +32,44 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from typing import List, Optional
 
 from repro.core.solver import solve
 from repro.perf import VALIDATION_STATS
 from repro.check.corruptions import CORRUPTIONS
 from repro.check.fuzz import (
-    ChaosFuzzConfig,
-    DispatchFuzzConfig,
-    FuzzConfig,
     FuzzRunReport,
-    ShardFuzzConfig,
-    fuzz_chaos_seed,
-    fuzz_dispatch_seed,
-    fuzz_prune_seed,
     fuzz_seed,
-    fuzz_shard_seed,
     minimize_seed,
     random_instance,
-    run_chaos_fuzz,
-    run_dispatch_fuzz,
     run_fuzz,
-    run_prune_fuzz,
-    run_shard_fuzz,
 )
-from repro.check.crash import CrashFuzzConfig, fuzz_crash_seed, run_crash_fuzz
-from repro.check.stream import (
-    StreamFuzzConfig,
-    fuzz_stream_seed,
-    run_stream_fuzz,
-)
+from repro.check.harness import PAIRS, format_report, fuzz_pair_seed, run_pair
 from repro.check.validator import validate_assignment
 from repro.obs import start_trace, stop_trace
+
+
+#: The dispatcher mode flags; each names a pair of
+#: :data:`repro.check.harness.PAIRS` (``--tiered`` appends ``-tiered``).
+_MODE_FLAGS = {
+    "--dispatch": "fuzz multi-frame dispatcher scenarios instead of "
+                  "single instances",
+    "--chaos": "fuzz dispatcher scenarios with mid-horizon disruptions "
+               "(breakdowns, cancellations, perturbations, closures)",
+    "--prune": "pruned candidate retrieval must match the full "
+               "all-pairs scan frame-for-frame",
+    "--dispatch-shards": "serial and process-pool sharded dispatch must "
+                         "match frame-for-frame, and match unsharded "
+                         "dispatch on conflict-free frames",
+    "--crash": "durable runs killed at seeded WAL/snapshot/worker "
+               "boundaries, restored and resumed, must match an "
+               "uninterrupted run frame-for-frame",
+    "--stream": "a streaming engine with the interval trigger pinned to "
+                "the frame length must match batch dispatch "
+                "frame-for-frame; count-trigger runs must hold every "
+                "frame and ledger invariant",
+}
 
 
 def _parse_budget(text: str) -> float:
@@ -169,54 +142,20 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="wall-clock budget, e.g. '60s' or '5m'; keeps drawing seeds "
              "past --seeds until the budget is spent",
     )
-    parser.add_argument(
-        "--dispatch", action="store_true",
-        help="fuzz multi-frame dispatcher scenarios instead of "
-             "single instances",
-    )
-    parser.add_argument(
-        "--chaos", action="store_true",
-        help="fuzz dispatcher scenarios with mid-horizon disruptions "
-             "(breakdowns, cancellations, perturbations, closures)",
-    )
-    parser.add_argument(
-        "--prune", action="store_true",
-        help="differential-fuzz candidate retrieval: pruned dispatch "
-             "runs must match the full all-pairs scan frame-for-frame",
-    )
-    parser.add_argument(
-        "--dispatch-shards", action="store_true",
-        help="differential-fuzz sharded dispatch: serial and "
-             "process-pool runs must match frame-for-frame, and must "
-             "match unsharded dispatch on conflict-free frames",
-    )
-    parser.add_argument(
-        "--crash", action="store_true",
-        help="crash-injection fuzzing: kill durable dispatcher runs at "
-             "seeded WAL/snapshot/worker boundaries, restore from the "
-             "checkpoint directory, and assert frame-for-frame "
-             "equivalence with an uninterrupted run",
-    )
-    parser.add_argument(
-        "--stream", action="store_true",
-        help="streaming differential fuzzing: a micro-batch engine with "
-             "the interval trigger pinned to the frame length must "
-             "reproduce batch dispatcher runs frame-for-frame (incl. "
-             "sharded/tiered/chaos seeds), and count-trigger runs must "
-             "hold every frame and ledger invariant",
-    )
+    modes = parser.add_mutually_exclusive_group()
+    for flag, text in _MODE_FLAGS.items():
+        modes.add_argument(flag, action="store_true", help=text)
     parser.add_argument(
         "--tiered", action="store_true",
-        help="with --dispatch or --chaos: run the tiered-oracle "
-             "differential — a tier-1 (CH + ALT) DistanceOracle must "
-             "match the untiered run frame-for-frame and bit-for-bit on "
-             "every sampled cost, including across disruption epochs",
+        help="with --dispatch or --chaos: a tier-1 (CH + ALT) "
+             "DistanceOracle must match the untiered run frame-for-frame "
+             "and bit-for-bit on every sampled cost",
     )
     parser.add_argument(
         "--shard-workers", type=int, default=None, metavar="N",
-        help="worker-process count for the sharded leg (default 4 for "
-             "--dispatch-shards); with --chaos, routes chaos scenarios "
-             "through sharded dispatch with N workers",
+        help="worker-process count of the pooled sharded variants (with "
+             "--dispatch-shards, --crash or --stream); with --chaos, "
+             "routes chaos scenarios through sharded dispatch",
     )
     parser.add_argument(
         "--replay", type=int, default=None, metavar="SEED",
@@ -245,6 +184,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("-v", "--verbose", action="store_true")
     args = parser.parse_args(argv)
+    mode = next(
+        (f[2:] for f in _MODE_FLAGS if getattr(args, f[2:].replace("-", "_"))),
+        None,
+    )
+    if args.tiered and mode not in ("dispatch", "chaos"):
+        parser.error("--tiered only applies to --dispatch or --chaos")
+    if args.shard_workers is not None and mode not in (
+        "chaos", "dispatch-shards", "crash", "stream"
+    ):
+        parser.error(
+            "--shard-workers only applies to --chaos, --dispatch-shards, "
+            "--crash or --stream"
+        )
+    if args.minimize and (mode is not None or args.replay is None):
+        parser.error("--minimize only applies to a single-instance --replay")
+    args.pair = mode and mode + ("-tiered" if args.tiered else "")
     verbose = args.verbose
 
     if args.trace:
@@ -262,136 +217,19 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _run(args: argparse.Namespace, verbose: bool) -> int:
-
-    # shared by the --dispatch-shards and --chaos sharded legs
-    shard_config = ShardFuzzConfig()
-    if args.shard_workers is not None:
-        shard_config.shard_workers = args.shard_workers
-    chaos_config = ChaosFuzzConfig()
-    if args.shard_workers is not None and args.chaos:
-        chaos_config.shard_workers = args.shard_workers
-    if args.tiered:
-        chaos_config.tiered = True
-    dispatch_config = DispatchFuzzConfig(tiered=args.tiered)
-    crash_config = CrashFuzzConfig()
-    if args.shard_workers is not None and args.crash:
-        crash_config.shard_workers = args.shard_workers
-    stream_config = StreamFuzzConfig()
-    if args.shard_workers is not None and args.stream:
-        stream_config.shard_workers = args.shard_workers
+    config = None
+    if args.pair is not None and args.shard_workers is not None:
+        config = replace(
+            PAIRS[args.pair].config, shard_workers=args.shard_workers
+        )
+        if args.chaos:
+            config = replace(config, modes=(("sharded", 1.0),))
 
     # ------------------------------------------------------------------
-    if args.replay is not None and args.stream:
-        streport = fuzz_stream_seed(args.replay, stream_config)
-        print(
-            f"seed {streport.seed}: method={streport.method} "
-            f"mode={streport.mode} frames={streport.num_frames} "
-            f"vehicles={streport.num_vehicles} "
-            f"frame_length={streport.frame_length:.2f} "
-            f"max_retries={streport.max_retries} "
-            f"max_batch={streport.max_batch}"
-        )
-        print(
-            f"  riders={streport.num_riders} "
-            f"served={streport.total_served} "
-            f"events={streport.num_events} "
-            f"count_batches={streport.count_batches}"
-        )
-        for failure in streport.failures:
-            print(f"  FAIL {failure}")
-        return 0 if streport.ok else 1
-
-    if args.replay is not None and args.crash:
-        xreport = fuzz_crash_seed(args.replay, crash_config)
-        print(
-            f"seed {xreport.seed}: method={xreport.method} "
-            f"mode={xreport.mode} kill={xreport.kill_kind}@frame "
-            f"{xreport.kill_frame} frames={xreport.num_frames} "
-            f"checkpoint_every={xreport.checkpoint_every}"
-        )
-        print(
-            f"  riders={xreport.num_riders} "
-            f"frames_restored={xreport.frames_restored} "
-            f"frames_resumed={xreport.frames_resumed}"
-        )
-        for failure in xreport.failures:
-            print(f"  FAIL {failure}")
-        return 0 if xreport.ok else 1
-
-    if args.replay is not None and args.chaos:
-        creport = fuzz_chaos_seed(args.replay, chaos_config)
-        print(
-            f"seed {creport.seed}: method={creport.method} "
-            f"frames={creport.num_frames} vehicles={creport.num_vehicles} "
-            f"frame_length={creport.frame_length:.2f} "
-            f"max_retries={creport.max_retries} "
-            f"watchdog={'on' if creport.watchdog else 'off'}"
-        )
-        print(
-            f"  requests={creport.total_requests} "
-            f"served={creport.total_served} "
-            f"events={creport.num_events} applied={creport.num_applied}"
-        )
-        print(f"  ledger={creport.ledger}")
-        for failure in creport.failures:
-            print(f"  FAIL {failure}")
-        return 0 if creport.ok else 1
-
-    if args.replay is not None and args.dispatch_shards:
-        sreport = fuzz_shard_seed(args.replay, shard_config)
-        print(
-            f"seed {sreport.seed}: method={sreport.method} "
-            f"frames={sreport.num_frames} vehicles={sreport.num_vehicles} "
-            f"frame_length={sreport.frame_length:.2f} "
-            f"max_retries={sreport.max_retries} "
-            f"shards={sreport.shard_count} workers={sreport.shard_workers}"
-        )
-        print(
-            f"  requests={sreport.total_requests} "
-            f"served={sreport.total_served} "
-            f"baseline_served={sreport.baseline_served} "
-            f"strict_frames={sreport.strict_frames} "
-            f"conflict_frames={sreport.conflict_frames}"
-        )
-        for failure in sreport.failures:
-            print(f"  FAIL {failure}")
-        return 0 if sreport.ok else 1
-
-    if args.replay is not None and args.prune:
-        preport = fuzz_prune_seed(args.replay)
-        print(
-            f"seed {preport.seed}: method={preport.method} "
-            f"mode={preport.mode} frames={preport.num_frames} "
-            f"vehicles={preport.num_vehicles} "
-            f"frame_length={preport.frame_length:.2f} "
-            f"max_retries={preport.max_retries}"
-        )
-        print(
-            f"  requests={preport.total_requests} "
-            f"served={preport.total_served} "
-            f"pairs={preport.pairs_considered} "
-            f"pruned={preport.pairs_pruned}"
-        )
-        for failure in preport.failures:
-            print(f"  FAIL {failure}")
+    if args.replay is not None and args.pair is not None:
+        preport = fuzz_pair_seed(args.pair, args.replay, config)
+        print("\n".join(format_report(preport)))
         return 0 if preport.ok else 1
-
-    if args.replay is not None and args.dispatch:
-        dreport = fuzz_dispatch_seed(args.replay, dispatch_config)
-        print(
-            f"seed {dreport.seed}: method={dreport.method} "
-            f"frames={dreport.num_frames} vehicles={dreport.num_vehicles} "
-            f"frame_length={dreport.frame_length:.2f} "
-            f"max_retries={dreport.max_retries}"
-        )
-        print(
-            f"  requests={dreport.total_requests} "
-            f"served={dreport.total_served} "
-            f"carried={dreport.total_carried}"
-        )
-        for failure in dreport.failures:
-            print(f"  FAIL {failure}")
-        return 0 if dreport.ok else 1
 
     if args.replay is not None:
         report = fuzz_seed(args.replay)
@@ -449,49 +287,16 @@ def _run(args: argparse.Namespace, verbose: bool) -> int:
                 f"{len(seed_report.failures)} failure(s))"
             )
 
-    if args.stream:
-        run: FuzzRunReport = run_stream_fuzz(
-            seeds, stream_config, stop_after=budget, on_seed=progress
+    if args.pair is not None:
+        run: FuzzRunReport = run_pair(
+            args.pair, seeds, config, stop_after=budget, on_seed=progress
         )
-    elif args.crash:
-        run = run_crash_fuzz(
-            seeds, crash_config, stop_after=budget, on_seed=progress
-        )
-    elif args.chaos:
-        run = run_chaos_fuzz(
-            seeds, chaos_config, stop_after=budget, on_seed=progress
-        )
-    elif args.prune:
-        run = run_prune_fuzz(seeds, stop_after=budget, on_seed=progress)
-    elif args.dispatch_shards:
-        run = run_shard_fuzz(
-            seeds, shard_config, stop_after=budget, on_seed=progress
-        )
-    elif args.dispatch:
-        run = run_dispatch_fuzz(
-            seeds, dispatch_config, stop_after=budget, on_seed=progress
-        )
+        what = PAIRS[args.pair].label
     else:
         run = run_fuzz(seeds, stop_after=budget, on_seed=progress)
+        what = "seeds"
     elapsed = time.perf_counter() - start
 
-    if args.stream:
-        what = "stream differentials"
-    elif args.crash:
-        what = "crash-recovery trials"
-    elif args.chaos:
-        what = "chaos scenarios"
-    elif args.prune:
-        what = "prune differentials"
-    elif args.dispatch_shards:
-        what = "shard differentials"
-    elif args.dispatch:
-        what = (
-            "tiered-oracle differentials" if args.tiered
-            else "dispatcher scenarios"
-        )
-    else:
-        what = "seeds"
     print(
         f"fuzzed {run.seeds_run} {what} in {elapsed:.1f}s: "
         f"{len(run.failing_seeds)} failing, "

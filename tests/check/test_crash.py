@@ -1,37 +1,38 @@
-"""The crash-injection fuzzer (`--crash`) and its CLI wiring."""
+"""The crash pair (`--crash`): killed, restored, resumed ≡ uninterrupted."""
+
+from dataclasses import replace
 
 import pytest
 
 from repro.check.__main__ import main
-from repro.check.crash import (
+from repro.check.harness import (
     KILL_KINDS,
+    PAIRS,
     SHARDED_KILL_KINDS,
-    CrashFuzzConfig,
-    fuzz_crash_seed,
-    run_crash_fuzz,
+    fuzz_pair_seed,
+    run_pair,
 )
 
 
 class TestSeeds:
     @pytest.mark.parametrize("seed", range(6))
     def test_seed_recovers_equivalently(self, seed):
-        report = fuzz_crash_seed(seed)
+        report = fuzz_pair_seed("crash", seed)
         assert report.ok, [str(f) for f in report.failures]
         # the kill always leaves work to resume or frames to replay
-        assert report.frames_restored + report.frames_resumed > 0
-        assert report.scenario == "crash"
+        assert report.counts["restored"] + report.counts.get("resumed", 0) > 0
+        assert report.pair == "crash"
+        assert report.kill
         assert report.num_riders > 0
 
     def test_worker_kill_seed_absorbs_the_fault(self):
         # force the sharded mode so a worker-kill seed is reachable,
         # then scan for one: the run must still recover equivalently
-        config = CrashFuzzConfig(
-            shard_fraction=1.0, candidate_fraction=0.0, tiered_fraction=0.0
-        )
+        config = replace(PAIRS["crash"].config, modes=(("sharded", 1.0),))
         for seed in range(40):
-            report = fuzz_crash_seed(seed, config)
+            report = fuzz_pair_seed("crash", seed, config)
             assert report.ok, [str(f) for f in report.failures]
-            if report.kill_kind == "worker_kill":
+            if report.kill.startswith("worker_kill"):
                 return
         pytest.fail("no seed in 0..39 drew a worker_kill")
 
@@ -44,7 +45,7 @@ class TestSeeds:
 
 class TestRun:
     def test_aggregates_reports(self):
-        run = run_crash_fuzz(range(3))
+        run = run_pair("crash", range(3))
         assert run.seeds_run == 3
         assert run.ok
         assert run.failing_seeds == []

@@ -3,15 +3,15 @@
 import itertools
 
 from repro.check import (
-    DispatchFuzzConfig,
     FuzzConfig,
+    ScenarioConfig,
     differential_check,
-    fuzz_dispatch_seed,
+    fuzz_pair_seed,
     fuzz_seed,
     minimize_seed,
     random_instance,
-    run_dispatch_fuzz,
     run_fuzz,
+    run_pair,
 )
 
 
@@ -67,25 +67,23 @@ class TestFuzzRuns:
 
 class TestDispatchFuzz:
     def test_scenario_shape_and_determinism(self):
-        a = fuzz_dispatch_seed(11)
-        b = fuzz_dispatch_seed(11)
+        a = fuzz_pair_seed("dispatch", 11)
+        b = fuzz_pair_seed("dispatch", 11)
         assert a.num_frames >= 4  # the acceptance floor
         assert (a.method, a.num_frames, a.total_requests, a.total_served) == (
             b.method, b.num_frames, b.total_requests, b.total_served
         )
 
     def test_six_scenarios_clean(self):
-        run = run_dispatch_fuzz(range(6))
+        run = run_pair("dispatch", range(6))
         assert run.seeds_run == 6
         assert run.ok, [str(f) for f in run.failures]
         # frames genuinely straddle boundaries: some seed carries riders
-        assert any(r.total_carried > 0 for r in run.reports)
+        assert any(r.counts["carried"] > 0 for r in run.reports)
 
     def test_config_respected(self):
-        config = DispatchFuzzConfig(
-            min_frames=5, max_frames=5, min_vehicles=2, max_vehicles=2
-        )
-        report = fuzz_dispatch_seed(0, config)
+        config = ScenarioConfig(frames=(5, 5), vehicles=(2, 2))
+        report = fuzz_pair_seed("dispatch", 0, config)
         assert report.num_frames == 5
         assert report.num_vehicles == 2
 
@@ -95,8 +93,8 @@ class TestDispatchFuzz:
 
         original = Dispatcher.dispatch_frame
 
-        def teleporting(self, requests):
-            report = original(self, requests)
+        def teleporting(self, requests, frame_length=None):
+            report = original(self, requests, frame_length)
             for fv in self.fleet.values():
                 if fv.ready_time is not None:
                     fv.ready_time = self.clock - 1.0  # pretend it's already there
@@ -104,7 +102,8 @@ class TestDispatchFuzz:
 
         monkeypatch.setattr(Dispatcher, "dispatch_frame", teleporting)
         failing = [
-            seed for seed in range(8) if not fuzz_dispatch_seed(seed).ok
+            seed for seed in range(8)
+            if not fuzz_pair_seed("dispatch", seed).ok
         ]
         assert failing, "no scenario noticed the planted teleport"
 

@@ -1,63 +1,58 @@
-"""The streaming differential fuzzer (`--stream`) and its CLI wiring."""
+"""The stream pair (`--stream`): streaming engine ≡ batch dispatch."""
+
+from dataclasses import replace
 
 import pytest
 
 from repro.check.__main__ import main
-from repro.check.stream import (
-    STREAM_MODES,
-    StreamFuzzConfig,
-    fuzz_stream_seed,
-    run_stream_fuzz,
-)
+from repro.check.harness import PAIRS, fuzz_pair_seed, run_pair
 from repro.service import StreamingEngine
+
+_CONFIG = PAIRS["stream"].config
+
+
+def _forced(**changes):
+    return replace(_CONFIG, **{"modes": (), "p_chaos": 0.0, **changes})
 
 
 class TestSeeds:
     @pytest.mark.parametrize("seed", range(6))
     def test_seed_is_equivalent(self, seed):
-        report = fuzz_stream_seed(seed)
+        report = fuzz_pair_seed("stream", seed)
         assert report.ok, [str(f) for f in report.failures]
-        assert report.scenario == "stream"
-        assert report.mode in STREAM_MODES
+        assert report.pair == "stream"
+        assert report.mode in ("plain", "sharded", "tiered")
         assert report.num_riders > 0
 
     def test_chaos_seeds_replay_disruptions(self):
-        config = StreamFuzzConfig(
-            shard_fraction=0.0, tiered_fraction=0.0, chaos_fraction=1.0
-        )
         events = 0
         for seed in range(6):
-            report = fuzz_stream_seed(seed, config)
+            report = fuzz_pair_seed("stream", seed, _forced(p_chaos=1.0))
             assert report.ok, [str(f) for f in report.failures]
-            assert report.mode == "chaos"
-            # chaos seeds stop after the differential leg
-            assert report.count_batches == 0
-            events += report.num_events
+            assert report.chaos
+            # the count-trigger lane needs boundaries shared with the
+            # reference to replay disruptions, so chaos seeds skip it
+            assert report.counts["count_batches"] == 0
+            events += report.counts.get("events", 0)
         assert events > 0
 
     def test_tiered_seed_is_equivalent(self):
-        config = StreamFuzzConfig(
-            shard_fraction=0.0, tiered_fraction=1.0, chaos_fraction=0.0
-        )
-        report = fuzz_stream_seed(3, config)
+        config = _forced(modes=(("tiered", 1.0),))
+        report = fuzz_pair_seed("stream", 3, config)
         assert report.ok, [str(f) for f in report.failures]
         assert report.mode == "tiered"
 
     def test_sharded_seed_is_equivalent(self):
-        config = StreamFuzzConfig(
-            shard_fraction=1.0, tiered_fraction=0.0, chaos_fraction=0.0
-        )
-        report = fuzz_stream_seed(2, config)
+        config = _forced(modes=(("sharded", 1.0),))
+        report = fuzz_pair_seed("stream", 2, config)
         assert report.ok, [str(f) for f in report.failures]
         assert report.mode == "sharded"
 
     def test_count_trigger_leg_runs_on_non_chaos_seeds(self):
-        config = StreamFuzzConfig(
-            shard_fraction=0.0, tiered_fraction=0.0, chaos_fraction=0.0
-        )
-        report = fuzz_stream_seed(1, config)
+        report = fuzz_pair_seed("stream", 1, _forced())
         assert report.ok, [str(f) for f in report.failures]
-        assert report.count_batches > 0
+        assert report.counts["count_batches"] > 0
+        assert report.variants == ["batch", "stream", "count"]
 
 
 class TestDetection:
@@ -75,21 +70,15 @@ class TestDetection:
                     arrivals = arrivals[1:]
                 return super().process(arrivals, until=until, drain=drain)
 
-        monkeypatch.setattr(
-            "repro.check.stream.StreamingEngine", LossyEngine
-        )
-        config = StreamFuzzConfig(
-            shard_fraction=0.0, tiered_fraction=0.0, chaos_fraction=0.0,
-            min_riders_per_frame=2,
-        )
-        report = fuzz_stream_seed(0, config)
+        monkeypatch.setattr("repro.check.harness.StreamingEngine", LossyEngine)
+        report = fuzz_pair_seed("stream", 0, _forced(riders=(2, 5)))
         assert not report.ok
-        assert any("stream" in f.stage for f in report.failures)
+        assert {f.stage for f in report.failures} & {"trigger", "diverge"}
 
 
 class TestRun:
     def test_aggregates_reports(self):
-        run = run_stream_fuzz(range(3))
+        run = run_pair("stream", range(3))
         assert run.seeds_run == 3
         assert run.ok
         assert run.failing_seeds == []

@@ -417,9 +417,9 @@ class TestDispatcherIntegration:
             )
 
     def test_prune_fuzz_seeds_clean(self):
-        from repro.check.fuzz import fuzz_prune_seed
+        from repro.check.harness import fuzz_pair_seed
 
         for seed in range(3):
-            report = fuzz_prune_seed(seed)
+            report = fuzz_pair_seed("prune", seed)
             assert report.ok, report.failures
-            assert report.pairs_considered > 0
+            assert report.counts["pairs"] > 0
