@@ -8,8 +8,9 @@ Modes
   corruption classes are self-tested on every run so a silently-dead
   validator cannot report a clean bill of health.
 - one dispatcher mode flag (``--dispatch``, ``--chaos``, ``--prune``,
-  ``--dispatch-shards``, ``--crash``, ``--stream``; ``--tiered`` turns
-  ``--dispatch``/``--chaos`` into their tiered-oracle differentials):
+  ``--dispatch-shards``, ``--crash``, ``--crash-chaos``, ``--stream``;
+  ``--tiered`` turns ``--dispatch``/``--chaos`` into their tiered-oracle
+  differentials):
   run that named pair of :data:`repro.check.harness.PAIRS` — a
   reference variant, candidate variants and a strictness rule — over
   seeded multi-frame scenarios, validating every live frame and
@@ -65,6 +66,10 @@ _MODE_FLAGS = {
     "--crash": "durable runs killed at seeded WAL/snapshot/worker "
                "boundaries, restored and resumed, must match an "
                "uninterrupted run frame-for-frame",
+    "--crash-chaos": "--crash with disruptions injected between frames: "
+                     "restores across perturbations, closures and "
+                     "breakdowns must match an uninterrupted run "
+                     "frame-for-frame",
     "--stream": "a streaming engine with the interval trigger pinned to "
                 "the frame length must match batch dispatch "
                 "frame-for-frame; count-trigger runs must hold every "
@@ -154,7 +159,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--shard-workers", type=int, default=None, metavar="N",
         help="worker-process count of the pooled sharded variants (with "
-             "--dispatch-shards, --crash or --stream); with --chaos, "
+             "--dispatch-shards, --crash, --crash-chaos or --stream); with "
+             "--chaos, "
              "routes chaos scenarios through sharded dispatch",
     )
     parser.add_argument(
@@ -191,11 +197,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.tiered and mode not in ("dispatch", "chaos"):
         parser.error("--tiered only applies to --dispatch or --chaos")
     if args.shard_workers is not None and mode not in (
-        "chaos", "dispatch-shards", "crash", "stream"
+        "chaos", "dispatch-shards", "crash", "crash-chaos", "stream"
     ):
         parser.error(
             "--shard-workers only applies to --chaos, --dispatch-shards, "
-            "--crash or --stream"
+            "--crash, --crash-chaos or --stream"
         )
     if args.minimize and (mode is not None or args.replay is None):
         parser.error("--minimize only applies to a single-instance --replay")

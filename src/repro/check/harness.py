@@ -347,6 +347,16 @@ PAIRS: Dict[str, Pair] = {
             modes=(("sharded", 0.25), ("pruned", 0.25), ("tiered", 0.2))
         ),
     ),
+    "crash-chaos": Pair(
+        "crash-recovery chaos trials",
+        _BATCH,
+        (Variant("restored", driver="crash"),),
+        ScenarioConfig(
+            vehicles=(2, 4),
+            modes=(("sharded", 0.25), ("pruned", 0.25), ("tiered", 0.2)),
+            p_chaos=1.0,
+        ),
+    ),
     "stream": Pair(
         "stream differentials",
         _BATCH,

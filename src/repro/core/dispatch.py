@@ -74,7 +74,7 @@ from repro.core.shards import (
 )
 from repro.core.solver import FALLBACK_METHODS, solve, solve_anytime
 from repro.core.vehicles import Vehicle
-from repro.roadnet.areas import build_areas
+from repro.roadnet.areas import AreaIndex, build_areas
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.oracle import DistanceOracle
 from repro.social.graph import SocialNetwork
@@ -238,10 +238,29 @@ class FleetVehicle:
     committed_stops: Tuple[Stop, ...] = ()
     total_cost: float = 0.0
     riders_served: int = 0
+    # the last view as_vehicle() built (Vehicle is frozen, so shareable)
+    _view: Optional[Vehicle] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def as_vehicle(self) -> Vehicle:
-        """The solver-side view of this vehicle for the next frame."""
-        return Vehicle(
+        """The solver-side view of this vehicle for the next frame.
+
+        Returns the previous view while the fields it mirrors are
+        unchanged: disruption repair rewrites them in place from many
+        sites, so the comparison, not a dirty flag, decides.
+        """
+        view = self._view
+        if (
+            view is not None
+            and view.location == self.location
+            and view.ready_time == self.ready_time
+            and view.onboard == self.onboard
+            and view.committed_stops == self.committed_stops
+            and view.capacity == self.capacity
+        ):
+            return view
+        view = self._view = Vehicle(
             vehicle_id=self.vehicle_id,
             location=self.location,
             capacity=self.capacity,
@@ -249,6 +268,7 @@ class FleetVehicle:
             onboard=self.onboard,
             committed_stops=self.committed_stops,
         )
+        return view
 
     def pending_pickup_ids(self) -> Set[int]:
         """Ids of committed riders not yet picked up (releasable)."""
@@ -285,6 +305,10 @@ class Dispatcher:
         Eq. 1 balancing parameters used every frame.
     social:
         Optional social network shared by all frames.
+    oracle:
+        Optional distance oracle; it must be built over ``network``
+        itself (the same object), or :class:`ValueError` is raised —
+        disruptions mutate the network and invalidate this oracle.
     seed:
         Seed for the per-frame vehicle-preference matrices.
     max_retries:
@@ -430,6 +454,14 @@ class Dispatcher:
             )
         if shard_retries < 0:
             raise ValueError("shard_retries must be >= 0")
+        if oracle is not None and oracle.network is not network:
+            # disruptions mutate self.network and invalidate self.oracle:
+            # an oracle over another network object would keep answering
+            # in the old metric
+            raise ValueError(
+                "oracle must be built over the dispatcher's network object "
+                "(metric changes would otherwise reach only one of them)"
+            )
         self.network = network
         self.oracle = oracle or DistanceOracle(network)
         if frame_budget is not None and self.oracle.rebuild_budget_s is None:
@@ -491,12 +523,11 @@ class Dispatcher:
         self._shard_plan: Optional[ShardPlan] = None
         self._shard_executor = None
         if shard_workers is not None:
-            areas = (
-                self.candidates.areas
-                if self.candidates is not None
-                else build_areas(network, k=8)
+            # reuse the index's areas: a default-built index holds
+            # exactly build_areas(network, k=8)
+            self._shard_plan = self._build_shard_plan(
+                self.candidates.areas if self.candidates is not None else None
             )
-            self._shard_plan = ShardPlan(areas, shard_count)
             self._shard_executor = build_shard_executor(
                 shard_workers, timeout=shard_timeout, retries=shard_retries
             )
@@ -723,6 +754,8 @@ class Dispatcher:
             next_clock = self._clock + frame_length
             roll_start = time.perf_counter()
             with _trace.span("dispatch.roll"):
+                # vehicles whose index key (location, ready_time) moved
+                moved: List[FleetVehicle] = []
                 for vid, fv in self.fleet.items():
                     if (
                         touched is not None
@@ -739,6 +772,7 @@ class Dispatcher:
                             and fv.ready_time <= next_clock + _EPS
                         ):
                             fv.ready_time = None
+                            moved.append(fv)
                         continue
                     seq = assignment.schedules.get(vid)
                     if seq is None:
@@ -748,12 +782,17 @@ class Dispatcher:
                         1 for r in seq.assigned_riders()
                         if r.rider_id in batch_ids
                     )
+                    before = (fv.location, fv.ready_time)
                     self._roll_vehicle(fv, seq, next_clock)
+                    if (fv.location, fv.ready_time) != before:
+                        moved.append(fv)
                 if self.candidates is not None:
-                    # incremental index maintenance: move each vehicle to
-                    # its rolled-forward bucket (upsert, no rebuild)
-                    for vid, fv in self.fleet.items():
-                        self.candidates.update(vid, fv.location, fv.ready_time)
+                    # incremental index maintenance: move each rolled
+                    # vehicle to its new bucket (upsert, no rebuild)
+                    for fv in moved:
+                        self.candidates.update(
+                            fv.vehicle_id, fv.location, fv.ready_time
+                        )
             roll_seconds = time.perf_counter() - roll_start
 
             with _trace.span("dispatch.carryover"):
@@ -836,11 +875,16 @@ class Dispatcher:
         from repro.core.disruptions import DisruptionEngine
 
         start = time.perf_counter()
+        epoch = self.oracle.epoch
         with _trace.span(
             "dispatch.inject", frame=self._frame_index, events=len(events)
         ):
             engine = DisruptionEngine(self, **engine_kwargs)
             outcomes = engine.apply(events)
+            if self._shard_plan is not None and self.oracle.epoch != epoch:
+                # the metric changed: partition the new network the way a
+                # dispatcher restored from it would
+                self._shard_plan = self._build_shard_plan()
             if self.candidates is not None:
                 # breakdowns shrink the fleet and perturbations/closures
                 # change the metric (oracle epoch): reconcile the index
@@ -1241,10 +1285,11 @@ class Dispatcher:
         1. load the last snapshot (atomic writes guarantee it is whole)
            and the WAL tail (CRC-guarded; a torn final line is dropped);
         2. rebuild the dispatcher from the snapshot's config and fleet
-           — the road network comes from the persisted ``network.json``
-           unless the caller passes one, and a passed network must match
-           the snapshot's content fingerprint (state committed under one
-           metric must never resume under another);
+           — the road network is the caller's ``network``, else the
+           passed ``oracle``'s network, else the persisted
+           ``network.json``, and it must match the snapshot's content
+           fingerprint (state committed under one metric must never
+           resume under another);
         3. re-apply every piece of cross-frame state (fleet plans,
            carry-over queue, ledger, pinned utilities, frame cursor);
         4. with ``verify`` (default), audit the restored fleet through
@@ -1271,6 +1316,10 @@ class Dispatcher:
             raise CheckpointError(
                 f"no snapshot found in {log.directory} — nothing to restore"
             )
+        if network is None and oracle is not None:
+            # the oracle answers for its own network object; pairing it
+            # with a freshly loaded copy would split the metric in two
+            network = oracle.network
         if network is None:
             network = log.load_network()
             if network is None:
@@ -1348,6 +1397,14 @@ class Dispatcher:
         return dispatcher
 
     # ------------------------------------------------------------------
+    def _build_shard_plan(
+        self, areas: Optional[AreaIndex] = None
+    ) -> ShardPlan:
+        """The shard partition: a function of the network and shard_count."""
+        if areas is None:
+            areas = build_areas(self.network, k=8)
+        return ShardPlan(areas, self.shard_count)
+
     def _build_instance(self, riders: List[Rider]) -> URRInstance:
         vehicles = [fv.as_vehicle() for fv in self.fleet.values()]
         if self.utility_matrix == "synthetic":

@@ -43,6 +43,26 @@ class TestSeeds:
         assert set(KILL_KINDS) < set(SHARDED_KILL_KINDS)
 
 
+class TestCrashChaos:
+    """``--crash-chaos``: restores across disruptions, every seed chaotic."""
+
+    # seed 3 restores a sharded run, seed 7 a tiered one, across metric
+    # changes: they diverged while a live sharded run kept its
+    # pre-disruption partition (a restored one partitions the new
+    # network) and while restore paired the caller's oracle with a
+    # freshly loaded copy of the network
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_seed_recovers_across_disruptions(self, seed):
+        report = fuzz_pair_seed("crash-chaos", seed)
+        assert report.ok, [str(f) for f in report.failures]
+        assert report.chaos and report.kill
+        assert report.counts["applied"] > 0
+
+    def test_cli_mode(self, capsys):
+        assert main(["--crash-chaos", "--seeds", "2", "--skip-self-test"]) == 0
+        assert "2 crash-recovery chaos trials" in capsys.readouterr().out
+
+
 class TestRun:
     def test_aggregates_reports(self):
         run = run_pair("crash", range(3))

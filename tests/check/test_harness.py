@@ -131,7 +131,7 @@ class TestCli:
         "flags",
         [["--dispatch"], ["--chaos"], ["--dispatch", "--tiered"],
          ["--chaos", "--tiered"], ["--prune"], ["--dispatch-shards"],
-         ["--crash"], ["--stream"]],
+         ["--crash"], ["--stream"], ["--crash-chaos"]],
     )
     def test_replay_prints_the_scenario(self, flags, capsys):
         assert main(flags + ["--replay", "4"]) == 0

@@ -9,10 +9,12 @@ an uninterrupted run's — durability must never perturb dispatch.
 """
 
 import json
+import shutil
 
 import pytest
 
 from repro.core.dispatch import Dispatcher
+from repro.core.disruptions import OutcomeStatus, TravelTimePerturbation
 from repro.core.durability import (
     CHECKPOINT_VERSION,
     CheckpointError,
@@ -204,6 +206,60 @@ class TestGuards:
                           arterial_every=None)
         with pytest.raises(CheckpointError, match="fingerprint"):
             Dispatcher.restore(str(tmp_path), network=other)
+
+    def test_oracle_over_another_network_is_rejected(self, city):
+        with pytest.raises(ValueError, match="network"):
+            Dispatcher(city, make_fleet(), oracle=DistanceOracle(city.copy()))
+
+    def test_restore_pairs_a_passed_oracle_with_its_network(
+        self, city, tmp_path
+    ):
+        with make_dispatcher(city, "plain", durability=str(tmp_path)) as d:
+            d.dispatch_frame(frame_requests(0, 0))
+        oracle = DistanceOracle(city)
+        with Dispatcher.restore(str(tmp_path), oracle=oracle) as restored:
+            assert restored.network is city
+            assert restored.oracle is oracle
+        other = grid_city(6, 6, seed=5, removal_fraction=0.0,
+                          arterial_every=None)
+        # the oracle's network is fingerprint-checked like a passed one
+        with pytest.raises(CheckpointError, match="fingerprint"):
+            Dispatcher.restore(str(tmp_path), oracle=DistanceOracle(other))
+
+
+class TestDisruptedRestore:
+    """Restores across a metric change dispatch like the live run."""
+
+    def test_sharded_restore_after_perturbation(self, tmp_path):
+        network = grid_city(6, 6, seed=4, removal_fraction=0.0,
+                            arterial_every=None)
+        live = Dispatcher(
+            network, make_fleet(), method="eg", frame_length=20.0, seed=9,
+            shard_workers=1, shard_count=4,
+            durability=DurabilityConfig(tmp_path / "run", fsync=False),
+        )
+        with live:
+            live.dispatch_frame(frame_requests(0, 0))
+            # slow every edge out of the low-numbered half of the grid:
+            # shortest paths, and with them the area partition, move
+            factors = tuple(
+                (u, v, 4.0)
+                for u in range(NODES // 2)
+                for v in sorted(network.adjacency[u])
+                if u < v
+            )
+            (outcome,) = live.inject([TravelTimePerturbation(factors)])
+            assert outcome.status is OutcomeStatus.APPLIED
+            shutil.copytree(tmp_path / "run", tmp_path / "copy")
+            with Dispatcher.restore(str(tmp_path / "copy")) as restored:
+                assert [
+                    live._shard_plan.shard_of(n) for n in range(NODES)
+                ] == [restored._shard_plan.shard_of(n) for n in range(NODES)]
+                for f in range(1, FRAMES):
+                    riders = frame_requests(f, f * 10)
+                    assert canonical(live.dispatch_frame(riders)) == (
+                        canonical(restored.dispatch_frame(riders))
+                    )
 
 
 class TestCrashPoints:
