@@ -11,6 +11,12 @@ Measures, on candidate-rich schedules over a ``nyc_like`` network:
 - ``arrange`` — the full fast path *including* materialising the winning
   sequence, against the reference.  Smaller ratio by construction (both
   sides pay the final ``_recompute``).
+- ``evaluate_empty`` — one :meth:`SolverState.evaluate` of a rider against
+  an idle vehicle (the closed-form ``n = 0`` insertion plus the lone-rider
+  Eq. 1), against the general path called directly:
+  ``initial_sequence`` + ``arrange_single_rider`` + ``schedule_utility``.
+  Reported, not gated; the row also records that both paths returned
+  identical numbers.
 - ``cf_end_to_end`` — the CF solver (``run_cost_first``) on a complete
   instance, fast engine vs the reference engine monkey-patched into the
   scoring layer.  Skipped in ``--smoke`` runs.
@@ -225,6 +231,78 @@ def bench_insertion(
     return cases
 
 
+def bench_evaluate_empty(seed: int, rounds: int, pairs: int) -> dict:
+    """Scoring a rider against an idle vehicle: closed form vs general path."""
+    from repro.core.instance import URRInstance
+    from repro.core.scoring import SolverState
+    from repro.core.vehicles import Vehicle
+
+    rng = random.Random(seed)
+    network = nyc_like(seed=seed)
+    nodes = sorted(network.nodes())
+    vehicles = [
+        Vehicle(vehicle_id=j, location=rng.choice(nodes), capacity=3)
+        for j in range(pairs)
+    ]
+    instance = URRInstance(network=network, riders=[], vehicles=vehicles)
+    cost = instance.cost
+    # riders anchored at a random node: some idle vehicles cannot make
+    # the pickup, as among a real frame's retrieved candidates
+    items = [
+        (vehicle, _random_rider(rng, nodes, cost, rng.choice(nodes), 0.0,
+                                30_000 + j, 1.5))
+        for j, vehicle in enumerate(vehicles)
+    ]
+    state = SolverState(instance)  # evaluate never commits: stays pristine
+    model = instance.utility_model()
+
+    def closed() -> list:
+        out = []
+        for vehicle, rider in items:
+            evaluation = state.evaluate(rider, vehicle)
+            out.append(None if evaluation is None else
+                       (evaluation.delta_cost, evaluation.delta_utility))
+        return out
+
+    def general() -> list:
+        out = []
+        for vehicle, rider in items:
+            base = instance.initial_sequence(vehicle)
+            insertion = arrange_single_rider(base, rider)
+            if insertion is None:
+                out.append(None)
+                continue
+            delta_utility = model.schedule_utility(
+                vehicle, insertion.sequence
+            ) - model.schedule_utility(vehicle, base)
+            out.append((insertion.delta_cost, delta_utility))
+        return out
+
+    def per_call(fn: Callable[[], list]) -> float:
+        fn()  # warmup
+        best = INF
+        for _ in range(rounds):
+            start = time.perf_counter()
+            fn()
+            best = min(best, time.perf_counter() - start)
+        return best / len(items)
+
+    results = closed()
+    fast_us = per_call(closed) * 1e6
+    ref_us = per_call(general) * 1e6
+    return {
+        "name": "evaluate_empty",
+        "calls": len(items),
+        "feasible_fraction": round(
+            sum(1 for r in results if r is not None) / len(items), 3
+        ),
+        "identical": results == general(),
+        "fast_us": round(fast_us, 2),
+        "ref_us": round(ref_us, 2),
+        "speedup": round(ref_us / fast_us, 2),
+    }
+
+
 def bench_cf_end_to_end(seed: int, rounds: int) -> dict:
     """CF solver wall-clock: fast engine vs reference engine."""
     from repro.core import scoring
@@ -304,6 +382,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     with _trace.span("bench.insertion", seed=args.seed):
         cases = bench_insertion(args.seed, sizes, rounds, per_size, probes)
     engine_stats = INSERTION_STATS.as_dict()
+    with _trace.span("bench.evaluate_empty"):
+        cases.append(bench_evaluate_empty(
+            args.seed, rounds, pairs=50 if args.smoke else 400
+        ))
     if not args.smoke:
         with _trace.span("bench.cf_end_to_end"):
             cases.append(bench_cf_end_to_end(args.seed, rounds=3))

@@ -131,6 +131,8 @@ def _try_replace(
     committed in an earlier dispatch frame (and riders already in the car)
     are never considered as victims.
     """
+    if state.empty_head(vehicle.vehicle_id) is not None:
+        return None  # an empty schedule has nobody to replace
     seq = state.schedule(vehicle.vehicle_id)
     old_cost = seq.total_cost
     old_utility = state.utility(vehicle.vehicle_id)

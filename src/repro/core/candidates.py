@@ -479,7 +479,12 @@ def build_candidate_index(
     with _trace.span(
         "candidates.build", nodes=len(network), mode=mode, k=k
     ) as span:
-        areas = build_areas(network, k, cover=cover, search_budget=search_budget)
+        # the cover's shortest-ness checks read the given oracle: a fresh
+        # one would build a second all-pairs table of the same network
+        areas = build_areas(
+            network, k, cover=cover, search_budget=search_budget,
+            cost=oracle.fast_cost_fn(),
+        )
         oracle.warm(areas.centers)
         landmarks = None
         if (

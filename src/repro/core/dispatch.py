@@ -839,11 +839,12 @@ class Dispatcher:
                 batch=report.batch_size,
                 expired=report.num_expired,
             )
-            _trace.instant(
-                "frame.perf",
-                frame=self._frame_index,
-                perf=frame_perf.as_dict(),
-            )
+            if _trace.enabled():
+                _trace.instant(
+                    "frame.perf",
+                    frame=self._frame_index,
+                    perf=frame_perf.as_dict(),
+                )
             self.reports.append(report)
             self._frame_index += 1
             self._clock = next_clock
@@ -948,38 +949,39 @@ class Dispatcher:
         committed stops must survive, in order, in the new schedule.
         """
         offending: Dict[int, List[str]] = {}
-        peek = getattr(assignment.schedules, "peek", None)
-        for vehicle in instance.vehicles:
-            if peek is not None:
-                seq = peek(vehicle.vehicle_id)
-                if seq is None and not vehicle.has_carried_state:
-                    # never materialized and nothing carried: the schedule
-                    # is the pristine empty sequence — trivially valid
+        schedules = assignment.schedules
+        if isinstance(schedules, LazySchedules):
+            # touched and carried schedules, in fleet order; every other
+            # entry is a pristine sequence with no stops and nobody
+            # onboard, built from the vehicle itself — trivially valid
+            active = list(schedules.iter_active())
+            for vid, seq in active:
+                if not instance.has_vehicle(vid):
                     continue
-                if seq is None:
-                    # pristine but carrying commitments: audit the
-                    # materialized residual plan like any other
-                    seq = assignment.schedules[vehicle.vehicle_id]
-            else:
-                seq = assignment.schedules.get(vehicle.vehicle_id)
+                errors = seq.validity_errors()
+                errors.extend(
+                    self._commitment_errors(instance.vehicle(vid), seq)
+                )
+                if errors:
+                    offending[vid] = errors
+        else:
+            active = list(schedules.items())
+            for vehicle in instance.vehicles:
+                seq = schedules.get(vehicle.vehicle_id)
                 if seq is None:
                     if vehicle.has_carried_state:
                         offending[vehicle.vehicle_id] = [
                             "carried-over plan missing from the assignment"
                         ]
                     continue
-            errors = seq.validity_errors()
-            errors.extend(self._commitment_errors(vehicle, seq))
-            if errors:
-                offending[vehicle.vehicle_id] = errors
+                errors = seq.validity_errors()
+                errors.extend(self._commitment_errors(vehicle, seq))
+                if errors:
+                    offending[vehicle.vehicle_id] = errors
 
         duplicates: List[str] = []
         seen: Dict[int, int] = {}
-        for vid, seq in (
-            assignment.schedules.iter_active()
-            if hasattr(assignment.schedules, "iter_active")
-            else assignment.schedules.items()
-        ):
+        for vid, seq in active:
             for rider in seq.assigned_riders():
                 if rider.rider_id in seen and seen[rider.rider_id] != vid:
                     duplicates.append(
@@ -1166,21 +1168,57 @@ class Dispatcher:
         """Keep mu_v rows stable for riders that outlive this frame."""
         live: Set[int] = {entry.rider.rider_id for entry in self._carryover}
         for fv in self.fleet.values():
-            live.update(r.rider_id for r in fv.onboard)
-            live.update(s.rider.rider_id for s in fv.committed_stops)
+            if fv.onboard or fv.committed_stops:
+                live.update(r.rider_id for r in fv.onboard)
+                live.update(s.rider.rider_id for s in fv.committed_stops)
         pinned: Dict[int, Dict[int, float]] = {}
+        new_rows = self._new_pinned_rows(
+            instance.vehicle_utilities,
+            [rid for rid in live if rid not in self._pinned_utilities],
+        )
         # sorted: the pinned overlay must be insertion-ordered the same
         # way every run (set iteration order is not a contract)
         for rid in sorted(live):
             row = self._pinned_utilities.get(rid)
             if row is None:
-                row = {
-                    vid: instance.vehicle_utilities[(rid, vid)]
-                    for vid in self.fleet
-                    if (rid, vid) in instance.vehicle_utilities
-                }
+                row = new_rows[rid]
             pinned[rid] = row
         self._pinned_utilities = pinned
+
+    def _new_pinned_rows(
+        self, matrix: Dict[Tuple[int, int], float], rider_ids: List[int]
+    ) -> Dict[int, Dict[int, float]]:
+        """``{rid: {vid: mu_v}}`` of the matrix's pairs, rows in fleet order.
+
+        Reads whichever is smaller: the matrix's pairs (under
+        ``utility_matrix="default"`` it holds only the pinned rows, so
+        newly live riders cost nothing) or one probe per (rider, fleet
+        vehicle).
+        """
+        fleet = self.fleet
+        if len(matrix) >= len(rider_ids) * len(fleet):
+            return {
+                rid: {
+                    vid: matrix[(rid, vid)]
+                    for vid in fleet
+                    if (rid, vid) in matrix
+                }
+                for rid in rider_ids
+            }
+        rows: Dict[int, Dict[int, float]] = {rid: {} for rid in rider_ids}
+        for (rid, vid), value in matrix.items():
+            row = rows.get(rid)
+            if row is not None and vid in fleet:
+                row[vid] = value
+        position = None
+        for rid, row in rows.items():
+            if len(row) > 1:
+                if position is None:
+                    position = {vid: i for i, vid in enumerate(fleet)}
+                rows[rid] = {
+                    vid: row[vid] for vid in sorted(row, key=position.__getitem__)
+                }
+        return rows
 
     # ------------------------------------------------------------------
     # cumulative metrics

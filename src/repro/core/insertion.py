@@ -21,7 +21,8 @@ conditions a and b and is what validity actually requires):
 - capacity (condition d) — checked per-event for the pickup and along the
   whole pickup→drop-off span when the pair is combined.
 
-Two implementations of Algorithm 1 live here:
+Two implementations of Algorithm 1 live here, plus the closed form of its
+``n = 0`` case:
 
 - :func:`plan_insertion` / :func:`arrange_single_rider` — the **zero-copy
   fast path**.  Every (pickup, drop-off) candidate pair is evaluated
@@ -38,6 +39,12 @@ Two implementations of Algorithm 1 live here:
   checks the fast path against it, result-for-result, on randomized
   schedules, and ``benchmarks/bench_insertion_engine.py`` measures the
   speedup between the two.
+- :func:`plan_empty_insertion` — Algorithm 1 on an *empty* schedule (no
+  stops, nobody onboard).  There the only plan is pickup at 0, drop-off at
+  1, with ``Δcost = cost(l, s) + cost(s, e)``; the function performs
+  exactly the comparisons :func:`plan_insertion` would on such a schedule
+  (same floats, same counters) without a sequence to read them from, so
+  solvers can score idle vehicles without materialising their schedules.
 
 The search follows Algorithm 1: candidates sorted by incremental cost with
 early termination on both loops, and Lemma 3.2's earliest-start-time cut-off
@@ -51,7 +58,7 @@ stops in the same original event" case).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, List, Optional, Union
 
 from repro.core.requests import Rider
 from repro.core.schedule import Stop, TransferSequence
@@ -93,6 +100,11 @@ class InsertionResult:
     phase never pay for materialisation); the reference path constructs it
     eagerly.  Either way the arrays of ``sequence`` come from one real
     ``_recompute`` and are identical between the two paths.
+
+    A deferred result's base may itself be deferred: a zero-argument
+    callable returning the base sequence, called at materialisation only
+    (insertions into idle vehicles never build the empty base unless they
+    are committed).
     """
 
     __slots__ = (
@@ -115,12 +127,17 @@ class InsertionResult:
         self.pickup_position = pickup_position
         self.dropoff_position = dropoff_position
         self.delta_cost = delta_cost
-        self._base: Optional[TransferSequence] = None
+        self._base: Union[
+            None, TransferSequence, Callable[[], TransferSequence]
+        ] = None
         self._rider: Optional[Rider] = None
 
     @classmethod
     def deferred(
-        cls, base: TransferSequence, rider: Rider, plan: "InsertionPlan"
+        cls,
+        base: Union[TransferSequence, Callable[[], TransferSequence]],
+        rider: Rider,
+        plan: "InsertionPlan",
     ) -> "InsertionResult":
         result = cls(
             None, plan.pickup_position, plan.dropoff_position, plan.delta_cost
@@ -144,10 +161,13 @@ class InsertionResult:
                     dropoff=self.dropoff_position,
                     delta=self.delta_cost,
                 )
-            new_stops = list(self._base.stops)
+            base = self._base
+            if not isinstance(base, TransferSequence):
+                base = base()
+            new_stops = list(base.stops)
             new_stops.insert(self.pickup_position, Stop.pickup(self._rider))
             new_stops.insert(self.dropoff_position, Stop.dropoff(self._rider))
-            self._sequence = self._base.with_stops(new_stops)
+            self._sequence = base.with_stops(new_stops)
             self._base = None
             self._rider = None
         return self._sequence
@@ -341,6 +361,53 @@ def plan_insertion(
         )
     INSERTION_STATS.pairs_evaluated += pairs_scanned
     return best
+
+
+def plan_empty_insertion(
+    origin: int,
+    start_time: float,
+    capacity: int,
+    cost: Callable[[int, int], float],
+    rider: Rider,
+) -> Optional[InsertionPlan]:
+    """Algorithm 1 on an empty schedule, in closed form.
+
+    An empty schedule (no stops, nobody onboard) at ``origin`` from
+    ``start_time`` admits exactly one plan: pickup at 0, drop-off at 1,
+    ``Δcost = cost(origin, s) + cost(s, e)``, feasible iff Lemma 3.1 (a),
+    (b) and (d) hold.  This performs the comparisons and oracle calls
+    :func:`plan_insertion` makes on
+    ``TransferSequence(origin, start_time, capacity, cost)``, in the same
+    order and with the same floats, and bumps the same counters — it is
+    that function's ``n = 0`` case, not an approximation of it.
+    """
+    INSERTION_STATS.plans += 1
+    pd_eps = rider.pickup_deadline + _EPS
+    if start_time > pd_eps:
+        return None
+    to_s = cost(origin, rider.source)
+    arrive_at_source = start_time + to_s
+    if arrive_at_source > pd_eps:
+        return None
+    if 1 > capacity:  # condition d: load_end + 1 > capacity, load_end = 0
+        return None
+    INSERTION_STATS.pairs_evaluated += 1
+    dd_eps = rider.dropoff_deadline + _EPS
+    if arrive_at_source > dd_eps:
+        return None
+    to_e = cost(rider.source, rider.destination)
+    if arrive_at_source + to_e > dd_eps:
+        return None
+    delta = to_s + to_e
+    if delta >= INF:
+        return None
+    return InsertionPlan(
+        pickup_position=0,
+        dropoff_position=1,
+        delta_cost=delta,
+        pickup_delta=to_s,
+        dropoff_delta=to_e,
+    )
 
 
 def materialize_plan(

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 from collections.abc import MutableMapping
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from functools import partial
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple, Union,
+)
 
 import numpy as np
 
@@ -91,9 +94,15 @@ class URRInstance:
         if len(set(vehicle_ids)) != len(vehicle_ids):
             raise ValueError("duplicate vehicle ids in instance")
         rider_id_set = set(rider_ids)
+        # fleet-ordered ids of vehicles carrying riders or committed stops
+        # into this instance: the only pristine schedules that are not
+        # empty (a pending ready_time alone only delays an empty one)
+        self.carried_vehicle_ids: List[int] = []
         for v in self.vehicles:
             if not v.has_carried_state:
                 continue
+            if v.onboard or v.committed_stops:
+                self.carried_vehicle_ids.append(v.vehicle_id)
             clash = v.committed_rider_ids() & rider_id_set
             if clash:
                 raise ValueError(
@@ -103,6 +112,15 @@ class URRInstance:
                 )
         self._riders_by_id = {r.rider_id: r for r in self.riders}
         self._vehicles_by_id = {v.vehicle_id: v for v in self.vehicles}
+        # fleet order of the vehicle ids, for LazySchedules.iter_active:
+        # None when ascending id order already is fleet order (the usual
+        # case), so instances retained by frame reports carry no extra
+        # fleet-sized map
+        self._vehicle_position: Optional[Dict[int, int]] = None
+        if any(a >= b for a, b in zip(vehicle_ids, vehicle_ids[1:])):
+            self._vehicle_position = {
+                vid: position for position, vid in enumerate(vehicle_ids)
+            }
         self._social_by_rider: Dict[int, Optional[int]] = {
             r.rider_id: r.social_id for r in self.riders
         }
@@ -145,6 +163,9 @@ class URRInstance:
 
     def vehicle(self, vehicle_id: int) -> Vehicle:
         return self._vehicles_by_id[vehicle_id]
+
+    def has_vehicle(self, vehicle_id: int) -> bool:
+        return vehicle_id in self._vehicles_by_id
 
     # ``cost`` is replaced by a fast closure in ``__post_init__``; this
     # method body only serves as documentation and a fallback.
@@ -241,6 +262,13 @@ class URRInstance:
         )
 
 
+#: ``(origin, start_time, capacity, base)`` of an empty schedule, where
+#: ``base`` is the sequence itself or a callable that builds it
+EmptyHead = Tuple[
+    int, float, int, Union[TransferSequence, Callable[[], TransferSequence]]
+]
+
+
 class LazySchedules(MutableMapping):
     """``vehicle_id -> TransferSequence`` map materialized on first access.
 
@@ -261,10 +289,13 @@ class LazySchedules(MutableMapping):
     - :meth:`peek` — read without materializing (``None`` when the entry
       has never been built).
     - :meth:`iter_active` — iterate only the entries that can contribute
-      anything (materialized ones, plus pristine vehicles with carried
-      state, which are built on the fly).  Pristine vehicles without
-      carried state have empty schedules: zero utility, zero cost, no
-      riders, no violations — skipping them is exact.
+      anything (touched ones, plus pristine vehicles carrying riders or
+      committed stops, which are built on the fly).  Every other
+      pristine schedule is empty — materialized or not: zero utility,
+      zero cost, no riders, no violations — so skipping it is exact.
+    - :meth:`empty_head` — the origin, start time and capacity of an
+      empty schedule without building it, so solvers can score idle
+      vehicles in closed form.
 
     Iteration, ``len`` and membership cover the *full* fleet (plus any
     foreign ids written in), so ``dict(lazy)`` still materializes an
@@ -340,20 +371,66 @@ class LazySchedules(MutableMapping):
         """The materialized sequence, or ``None`` without building one."""
         return self._data.get(vehicle_id)
 
+    def empty_head(self, vehicle_id: int) -> Optional[EmptyHead]:
+        """``(origin, start_time, capacity, base)`` of an empty schedule.
+
+        ``None`` unless the vehicle's schedule has no stops and nobody
+        onboard.  Never materializes: a pristine vehicle's fields come
+        from the vehicle itself (its start time from
+        :meth:`URRInstance.vehicle_start_time`), and ``base`` is then a
+        callable building its (empty) initial sequence on demand;
+        otherwise ``base`` is the materialized empty sequence.
+        """
+        seq = self._data.get(vehicle_id)
+        if seq is None:
+            vehicle = self._ids[vehicle_id]  # KeyError for unknown ids
+            assert vehicle is not None  # foreign ids always have data
+            if vehicle.onboard or vehicle.committed_stops:
+                return None
+            # a pending ready_time only delays the start
+            instance = self._instance
+            return (
+                vehicle.location,
+                float(instance.vehicle_start_time(vehicle)),
+                vehicle.capacity,
+                partial(instance.initial_sequence, vehicle),
+            )
+        if seq.stops or seq.initial_onboard:
+            return None
+        return seq.origin, seq.start_time, seq.capacity, seq
+
     def iter_active(self) -> Iterator[Tuple[int, TransferSequence]]:
         """(id, sequence) pairs that can contribute riders/utility/cost.
 
-        Yields every materialized entry plus pristine carried-state
-        vehicles (built here); skips pristine empty vehicles, whose
-        sequences are empty and contribute nothing to any aggregate.
+        Yields, in key order (fleet order, then foreign ids in write
+        order), every touched entry plus the vehicles carrying riders or
+        committed stops (built here when pristine).  O(touched +
+        carried): the untouched bulk — empty schedules that contribute
+        nothing to any aggregate — is never visited.
         """
-        data = self._data
-        for vehicle_id, vehicle in self._ids.items():
-            seq = data.get(vehicle_id)
-            if seq is not None:
-                yield vehicle_id, seq
-            elif vehicle is not None and vehicle.has_carried_state:
-                yield vehicle_id, self[vehicle_id]
+        ids = self._ids
+        position = self._instance._vehicle_position
+        active = {
+            vid for vid in self._instance.carried_vehicle_ids
+            if ids.get(vid) is not None
+        }
+        foreign = []
+        for vid in self.touched:
+            if ids[vid] is None:
+                foreign.append(vid)
+            else:
+                active.add(vid)
+        if foreign:
+            # nothing in the solvers writes foreign ids; recover their
+            # write order from the key universe on this rare path
+            active.update(foreign)
+            ordered = [vid for vid in ids if vid in active]
+        elif position is None:
+            ordered = sorted(active)
+        else:
+            ordered = sorted(active, key=position.__getitem__)
+        for vid in ordered:
+            yield vid, self[vid]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -21,9 +21,10 @@ from repro.core.insertion import (
     InsertionPlan,
     InsertionResult,
     arrange_single_rider,
+    plan_empty_insertion,
     plan_insertion,
 )
-from repro.core.instance import LazySchedules, URRInstance
+from repro.core.instance import EmptyHead, LazySchedules, URRInstance
 from repro.core.requests import Rider
 from repro.core.schedule import TransferSequence
 from repro.core.utility import UtilityModel
@@ -94,6 +95,11 @@ class SolverState:
         self._candidate_view: Optional[
             Tuple[Iterable[Vehicle], Dict[int, Vehicle], bool]
         ] = None
+        # LazySchedules.empty_head of never-materialized entries, a pure
+        # function of the vehicle: reachability asks for it once per
+        # (rider, vehicle) pair, and rebuilding the tuple each time costs
+        # several dict hits
+        self._pristine_heads: Dict[int, Optional[EmptyHead]] = {}
 
     # ------------------------------------------------------------------
     # pickling (sharded dispatch returns solver state from workers)
@@ -104,6 +110,7 @@ class SolverState:
         # the candidate view caches object identities; both rebuilt lazily
         state["model"] = None
         state["_candidate_view"] = None
+        state["_pristine_heads"] = {}
         return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:
@@ -115,6 +122,18 @@ class SolverState:
     def schedule(self, vehicle_id: int) -> TransferSequence:
         return self.schedules[vehicle_id]
 
+    def empty_head(self, vehicle_id: int) -> Optional[EmptyHead]:
+        """:meth:`LazySchedules.empty_head`, cached for pristine entries."""
+        if self.schedules.peek(vehicle_id) is not None:
+            return self.schedules.empty_head(vehicle_id)
+        return self._pristine_head(vehicle_id)
+
+    def _pristine_head(self, vehicle_id: int) -> Optional[EmptyHead]:
+        heads = self._pristine_heads
+        if vehicle_id not in heads:
+            heads[vehicle_id] = self.schedules.empty_head(vehicle_id)
+        return heads[vehicle_id]
+
     def plan(self, rider: Rider, vehicle: Vehicle) -> Optional[InsertionPlan]:
         """Zero-copy probe: the best insertion's positions and delta cost.
 
@@ -122,6 +141,12 @@ class SolverState:
         incremental travel cost is needed (CF's ranking, reachability
         refinement, admission control).
         """
+        head = self.empty_head(vehicle.vehicle_id)
+        if head is not None:
+            origin, start_time, capacity, _base = head
+            return plan_empty_insertion(
+                origin, start_time, capacity, self.instance.cost, rider
+            )
         return plan_insertion(self.schedules[vehicle.vehicle_id], rider)
 
     def perf_report(self) -> PerfReport:
@@ -151,16 +176,37 @@ class SolverState:
         utility is skipped and ``delta_utility`` is reported as 0.0 — the
         CF baseline orders pairs purely by travel cost, which is exactly
         why the paper finds it the fastest approach.
+
+        An empty schedule (no stops, nobody onboard — the common case on
+        large idle fleets) takes the closed form of Algorithm 1's
+        ``n = 0`` case and, when the model allows it, of Eq. 1 for a lone
+        rider: nothing is materialised until the result is committed, and
+        every number equals the general path's bit for bit.
         """
-        seq = self.schedules[vehicle.vehicle_id]
-        insertion = arrange_single_rider(seq, rider)
-        if insertion is None:
-            return None
-        if with_utility:
-            new_utility = self.model.schedule_utility(vehicle, insertion.sequence)
-            delta_utility = new_utility - self.utility(vehicle.vehicle_id)
+        vid = vehicle.vehicle_id
+        head = self.empty_head(vid)
+        if head is None:
+            insertion = arrange_single_rider(self.schedules[vid], rider)
+            if insertion is None:
+                return None
         else:
+            origin, start_time, capacity, base = head
+            plan = plan_empty_insertion(
+                origin, start_time, capacity, self.instance.cost, rider
+            )
+            if plan is None:
+                return None
+            insertion = InsertionResult.deferred(base, rider, plan)
+        if not with_utility:
             delta_utility = 0.0
+        elif head is not None and self.model.has_lone_rider_form:
+            # the empty schedule's utility is 0.0
+            delta_utility = self.model.lone_rider_utility(
+                rider, vehicle, plan.dropoff_delta
+            )
+        else:
+            new_utility = self.model.schedule_utility(vehicle, insertion.sequence)
+            delta_utility = new_utility - self.utility(vid)
         return PairEvaluation(
             rider=rider,
             vehicle=vehicle,
@@ -226,9 +272,21 @@ class SolverState:
             vehicles = self._retrieve_candidates(rider, vehicles, index)
         cost = self.instance.cost
         deadline = rider.pickup_deadline
+        schedules = self.schedules
+        peek = schedules.peek
         result: List[Vehicle] = []
         for vehicle in vehicles:
-            seq = self.schedules[vehicle.vehicle_id]
+            vid = vehicle.vehicle_id
+            seq = peek(vid)
+            if seq is None:
+                head = self._pristine_head(vid)
+                if head is not None:
+                    # pristine empty schedule: the location test is all
+                    t0 = head[1]
+                    if t0 + cost(vehicle.location, rider.source) <= deadline + 1e-9:
+                        result.append(vehicle)
+                    continue
+                seq = schedules[vid]
             # per-vehicle availability: a carried-over vehicle is busy
             # finishing its in-flight leg until seq.start_time
             t0 = seq.start_time

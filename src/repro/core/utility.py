@@ -180,6 +180,51 @@ class UtilityModel:
                 total += gamma * trajectory_utility(max(sigma, 1.0))
         return total
 
+    def lone_rider_utility(
+        self, rider: Rider, vehicle: Vehicle, ride_cost: float
+    ) -> float:
+        """``mu(S_j)`` of a schedule carrying only ``rider``, straight through.
+
+        The schedule ``[pickup(rider), dropoff(rider)]`` with nobody else
+        onboard: Eq. 1 reduces to ``alpha mu_v + beta 0 + gamma
+        traj(max(ride_cost / shortest, 1))``, where ``ride_cost`` is the
+        pickup-to-drop-off leg cost.  Performs the float operations of
+        :meth:`schedule_utility` on that schedule in the same order, so the
+        two agree bit for bit; subclasses that override
+        :meth:`schedule_utility` must not rely on it (see
+        :attr:`has_lone_rider_form`).
+        """
+        gamma = 1.0 - self.alpha - self.beta
+        total = 0.0
+        if self.alpha:
+            total += self.alpha * self.vehicle_utility(rider, vehicle)
+        if self.beta <= 1e-12 and gamma <= 1e-12:
+            return total
+        # a zero-cost leg is skipped by the event loop, leaving 0.0
+        ride_cost = ride_cost if ride_cost != 0.0 else 0.0
+        if self.beta > 1e-12 and ride_cost > 0:
+            total += self.beta * (0.0 / ride_cost)  # no co-riders
+        if gamma > 1e-12:
+            shortest = self.cost(rider.source, rider.destination)
+            if shortest <= 0:
+                raise ValueError(
+                    f"rider {rider.rider_id}: non-positive shortest cost "
+                    f"{shortest} from {rider.source} to {rider.destination}"
+                )
+            sigma = ride_cost / shortest
+            total += gamma * trajectory_utility(max(sigma, 1.0))
+        return total
+
+    @property
+    def has_lone_rider_form(self) -> bool:
+        """Whether :meth:`lone_rider_utility` equals :meth:`schedule_utility`.
+
+        True unless a subclass overrides :meth:`schedule_utility` (e.g.
+        :class:`~repro.core.utility_ext.ExtendedUtilityModel`, whose extra
+        components the closed form knows nothing about).
+        """
+        return type(self).schedule_utility is UtilityModel.schedule_utility
+
     def schedule_utility_breakdown(
         self, vehicle: Vehicle, sequence: TransferSequence
     ) -> Dict[int, float]:

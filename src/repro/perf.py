@@ -50,12 +50,16 @@ from typing import Any, Dict, Optional
 class InsertionStats:
     """Counters of the zero-copy insertion engine.
 
-    ``plans`` counts :func:`repro.core.insertion.plan_insertion` calls (one
-    per rider-vehicle evaluation), ``pairs_evaluated`` the candidate
-    (pickup, drop-off) positions scanned inside them, ``materializations``
-    how many winning plans were turned into real sequences, and
-    ``reference_calls`` uses of the copy-and-recompute reference path.
-    A healthy fast path materialises far fewer sequences than it plans.
+    ``plans`` counts :func:`repro.core.insertion.plan_insertion` and
+    :func:`~repro.core.insertion.plan_empty_insertion` calls (one per
+    rider-vehicle evaluation), ``pairs_evaluated`` the candidate (pickup,
+    drop-off) positions scanned inside them, ``materializations`` how many
+    winning plans were turned into real sequences, and ``reference_calls``
+    uses of the copy-and-recompute reference path.  A healthy fast path
+    materialises far fewer sequences than it plans: evaluations against
+    empty schedules are scored in closed form and materialise only when
+    committed, so on idle fleets the count is close to commits plus
+    utility-scored evaluations of non-empty schedules.
     """
 
     plans: int = 0

@@ -423,3 +423,23 @@ class TestDispatcherIntegration:
             report = fuzz_pair_seed("prune", seed)
             assert report.ok, report.failures
             assert report.counts["pairs"] > 0
+
+
+class TestBuildReusesOracle:
+    def test_cover_reads_the_given_oracle(self, monkeypatch):
+        from repro.roadnet.areas import build_areas
+
+        net = grid_city(6, 6, seed=5, removal_fraction=0.0, arterial_every=None)
+        expected = build_areas(net, k=8)  # cover over a fresh oracle
+        oracle = DistanceOracle(net)
+        built = []
+        original = DistanceOracle.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(DistanceOracle, "__init__", counting)
+        index = build_candidate_index(net, oracle=oracle, mode="spatial")
+        assert built == []  # no second all-pairs table of the network
+        assert index.areas.centers == expected.centers
